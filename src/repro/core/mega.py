@@ -40,6 +40,12 @@ from repro.placement.sparse import SparseGreedyController, SparsePlacement
 from repro.workload.streaming import StreamingWorkload
 
 
+def _require(ok: bool, name: str, value, rule: str) -> None:
+    """Reject a config field at construction, naming it."""
+    if not ok:
+        raise ValueError(f"{name}={value!r}: {rule}")
+
+
 @dataclass
 class MegaControlPlaneConfig:
     """Wiring of the sharded VIP/RIP control plane into the mega loop.
@@ -64,6 +70,22 @@ class MegaControlPlaneConfig:
     #: DNS weight shifts then actually move traffic between switches).
     vips_per_app: int = 1
 
+    def __post_init__(self):
+        for name in (
+            "n_shards", "switches_per_shard", "wired_apps", "max_vips",
+            "max_rips", "vips_per_app",
+        ):
+            value = getattr(self, name)
+            _require(value >= 1, name, value, "must be >= 1")
+        _require(self.reconfig_s > 0, "reconfig_s", self.reconfig_s, "must be > 0")
+        vip_slots = self.n_shards * self.switches_per_shard * self.max_vips
+        _require(
+            self.wired_apps * self.vips_per_app <= vip_slots,
+            "wired_apps", self.wired_apps,
+            f"x vips_per_app={self.vips_per_app} exceeds the {vip_slots} "
+            "VIP slots of n_shards x switches_per_shard x max_vips",
+        )
+
 
 @dataclass
 class MegaSteeringConfig:
@@ -84,6 +106,24 @@ class MegaSteeringConfig:
     #: many epochs; 0 disables the automatic knob schedule.
     knob_period: int = 0
     seed: int = 1234
+
+    def __post_init__(self):
+        for name in (
+            "requests_per_epoch", "n_resolvers", "chunk_requests",
+            "max_duration_epochs", "switch_max_connections",
+        ):
+            value = getattr(self, name)
+            _require(value >= 1, name, value, "must be >= 1")
+        _require(self.ttl_s >= 0, "ttl_s", self.ttl_s, "must be >= 0")
+        _require(
+            0 <= self.violator_fraction <= 1, "violator_fraction",
+            self.violator_fraction, "must be in [0, 1]",
+        )
+        _require(
+            self.violation_factor >= 1, "violation_factor",
+            self.violation_factor, "must be >= 1",
+        )
+        _require(self.knob_period >= 0, "knob_period", self.knob_period, "must be >= 0")
 
 
 @dataclass
@@ -108,12 +148,21 @@ class MegaConfig:
     bootstrap_fill: float = 0.5
 
     def __post_init__(self):
-        if min(self.n_pods, self.servers_per_pod, self.n_apps) < 1:
-            raise ValueError("scale parameters must be positive")
-        if not 0 < self.target_utilization < 1:
-            raise ValueError("target_utilization must be in (0, 1)")
-        if self.vms_per_app < 1:
-            raise ValueError("vms_per_app must be positive")
+        for name in (
+            "n_pods", "servers_per_pod", "n_apps", "vms_per_app",
+            "chunk_apps", "parallelism",
+        ):
+            value = getattr(self, name)
+            _require(value >= 1, name, value, "must be >= 1")
+        _require(
+            0 < self.target_utilization < 1, "target_utilization",
+            self.target_utilization, "must be in (0, 1)",
+        )
+        # epoch_s=0 would stamp every epoch t=0, collapsing TTL and MTTR.
+        _require(
+            0 < self.epoch_s < float("inf"), "epoch_s", self.epoch_s,
+            "must be positive and finite",
+        )
 
     @property
     def n_servers(self) -> int:
@@ -221,6 +270,14 @@ class MegaScaleDriver:
         control_plane: Optional[MegaControlPlaneConfig] = None,
         steering: Optional[MegaSteeringConfig] = None,
     ):
+        if control_plane is not None:
+            _require(
+                control_plane.wired_apps <= config.n_apps,
+                "wired_apps", control_plane.wired_apps,
+                f"exceeds n_apps={config.n_apps}",
+            )
+        if steering is not None and control_plane is None:
+            raise ValueError("steering requires control_plane= to be configured")
         self.config = config
         self.trace = trace
         self.workload = StreamingWorkload(
@@ -345,7 +402,6 @@ class MegaScaleDriver:
         from repro.lbswitch.switch import LBSwitch, SwitchLimits
         from repro.sim import Environment
 
-        cfg = self.config
         self._cp_config = cp
         self._cp_env = Environment()
         n_switches = cp.n_shards * cp.switches_per_shard
@@ -365,12 +421,10 @@ class MegaScaleDriver:
             reconfig_s=cp.reconfig_s,
             trace=self.trace,
         )
-        self._wired_gids = np.arange(
-            min(cp.wired_apps, cfg.n_apps), dtype=np.int64
-        )
+        self._wired_gids = np.arange(cp.wired_apps, dtype=np.int64)
         self._VipRipRequest = VipRipRequest
         for gid in self._wired_gids:
-            for _ in range(max(1, cp.vips_per_app)):
+            for _ in range(cp.vips_per_app):
                 self.control_plane.submit(
                     VipRipRequest("new_vip", self._app_name(gid))
                 )
@@ -421,10 +475,6 @@ class MegaScaleDriver:
         from repro.dataplane.steering import ColumnarDataPlane
         from repro.workload.requests import RequestStream
 
-        if self.bridge is None:
-            raise ValueError(
-                "steering requires control_plane= to be configured"
-            )
         self._steer_config = sc
         # Request popularity follows the wired apps' t=0 demand: hot apps
         # get hot VIPs, matching the paper's elastic-traffic framing.

@@ -8,7 +8,7 @@ beat.  Three roles:
 * **measure** — the E2-scale pod-epoch workload (>= 8 pods, per-pod Tang
   controllers, drifting demand) through the serial and parallel engines,
   Tang cold vs warm starts, the greedy/distributed solvers, and max-min
-  fairness with and without the cached incidence matrix;
+  fairness re-solves;
 * **verify** — the parallel engine's placements must be byte-identical to
   serial (the run fails otherwise);
 * **gate** — ``--baseline DIR`` compares guarded wall-time metrics against
@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.network.flows import Flow, FlowSet
 from repro.network.maxmin import weighted_maxmin_fair
 from repro.perf.engine import PlacementEngine, PlacementTask
 from repro.perf.rss import peak_rss_mb
@@ -50,10 +49,8 @@ GUARDED_METRICS = (
     "parallel_wall_s",
     "cold_wall_s",
     "warm_wall_s",
-    "cached_wall_s",
     "wall_s",
     "off_wall_s",
-    "noop_wall_s",
     "on_wall_s",
     "wall_per_epoch_s",
     "steer_wall_s",
@@ -272,18 +269,11 @@ def bench_solver(kind: str, n_servers: int, seed: int = 0) -> tuple[str, dict]:
 def bench_maxmin(
     n_flows: int, n_links: int, resolves: int, seed: int = 0
 ) -> tuple[str, dict]:
-    """Max-min fairness re-solves: rebuilt vs cached incidence matrix.
+    """Max-min fairness re-solves of one random flow set.
 
-    The cached path passes both ``incidence`` and ``incidence_t`` — the
-    same pair :meth:`FlowSet.solve` reuses — so the bench measures what
-    production callers actually pay.  Expect the speedup to *shrink* as
-    ``n_flows`` grows: the build is O(nnz) once, while progressive
-    filling iterates one sparse matvec per saturation round, so the
-    amortized build+transpose share falls (measured ~3% of a flows=1000
-    solve, ~2% at flows=4000 — i.e. the honest speedup is 1.0x-1.1x, not
-    a headline number).  The regression gate guards ``cached_wall_s``
-    against the recorded baseline rather than a fixed speedup ratio for
-    exactly this reason.
+    Every solve builds its sparse incidence matrix from the routes, as
+    :meth:`FlowSet.solve` does; ``cold_wall_s`` is the best of 3 rounds
+    of *resolves* solves, guarded by the regression gate.
     """
     rng = np.random.default_rng(seed)
     capacities = rng.uniform(5.0, 20.0, n_links)
@@ -294,40 +284,14 @@ def bench_maxmin(
     demands = rng.uniform(0.1, 2.0, n_flows)
     weights = rng.uniform(0.5, 2.0, n_flows)
 
-    flowset = FlowSet(capacities)
-    for i, route in enumerate(routes):
-        flowset.add(
-            Flow(key=i, links=tuple(route), demand_gbps=demands[i], weight=weights[i])
-        )
-    A = flowset.incidence  # built once, reused for every re-solve
-    AT = flowset.incidence_t
-
-    # The cache's win is a few percent at these sizes — smaller than the
-    # drift of a busy runner over one 20-resolve block, which biases any
-    # block-at-a-time comparison toward whichever path ran in the
-    # friendlier window.  Alternate the two paths solve by solve so both
-    # sample identical machine conditions, and keep the best of 3 rounds.
-    cold_wall = cached_wall = float("inf")
+    cold_wall = float("inf")
     for _ in range(3):
-        cold_t = cached_t = 0.0
+        t0 = time.perf_counter()
         for _ in range(resolves):
-            t0 = time.perf_counter()
-            cold_rates = weighted_maxmin_fair(
+            weighted_maxmin_fair(
                 routes, capacities, demands=demands, weights=weights
             )
-            cold_t += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            cached_rates = weighted_maxmin_fair(
-                routes,
-                capacities,
-                demands=demands,
-                weights=weights,
-                incidence=A,
-                incidence_t=AT,
-            )
-            cached_t += time.perf_counter() - t0
-        cold_wall = min(cold_wall, cold_t)
-        cached_wall = min(cached_wall, cached_t)
+        cold_wall = min(cold_wall, time.perf_counter() - t0)
 
     wid = f"maxmin[flows={n_flows},links={n_links},resolves={resolves}]"
     return wid, {
@@ -335,10 +299,6 @@ def bench_maxmin(
         "links": n_links,
         "resolves": resolves,
         "cold_wall_s": round(cold_wall, 4),
-        "cached_wall_s": round(cached_wall, 4),
-        "speedup": round(cold_wall / max(cached_wall, 1e-9), 3),
-        "identical": bool(np.array_equal(cold_rates, cached_rates)),
-        "incidence_builds": flowset.incidence_builds,
     }
 
 
@@ -351,23 +311,23 @@ def bench_obs(
 ) -> tuple[str, dict]:
     """Observability overhead + trace determinism on a datacenter run.
 
-    Times the same seeded epoch workload three ways — no facade at all
-    (``off``), the disabled no-op facade (``noop``), full metrics +
-    tracing + online auditing (``on``) — and additionally asserts that
-    serial and parallel engines produce byte-identical trace digests.
-    ``overhead_ok`` is the acceptance gate: full instrumentation must
-    stay within 5% of the uninstrumented wall time, estimated from
-    position-balanced interleaved rounds with best-of-3 retry on noisy
-    runners (see the measurement comment below).
+    Times the same seeded epoch workload two ways — untraced (``off``,
+    the default disabled bus) and full tracing + online auditing
+    (``on``) — and additionally asserts that serial and parallel engines
+    produce byte-identical trace digests.  ``overhead_ok`` is the
+    acceptance gate: full instrumentation must stay within 5% of the
+    untraced wall time, estimated from position-balanced interleaved
+    rounds with best-of-3 retry on noisy runners (see the measurement
+    comment below).
     """
     from repro.core.datacenter import MegaDataCenter
-    from repro.obs import Observability, TraceBus
+    from repro.obs import TraceBus
     from repro.sim.rng import RngHub
     from repro.workload.generator import WorkloadBuilder
 
     duration_s = epochs * 60.0  # default PlatformConfig().epoch_s
 
-    def one_run(obs, parallelism=1, audit=False):
+    def one_run(trace, parallelism=1, audit=False):
         import gc
 
         apps = WorkloadBuilder(
@@ -378,7 +338,7 @@ def bench_obs(
             n_pods=4,
             servers_per_pod=64,
             n_switches=4,
-            obs=obs,
+            trace=trace,
             audit=audit,
             parallelism=parallelism,
         )
@@ -391,10 +351,10 @@ def bench_obs(
         dc.close()
         return wall
 
-    # One untimed warm-up run, then 9 interleaved rounds with the mode
-    # order rotated so every mode occupies every within-round position
-    # exactly 3 times (a position-balanced design: on CPU-quota'd
-    # runners the later runs of a round are systematically slower, and
+    # One untimed warm-up run, then 10 interleaved rounds with the mode
+    # order alternated so each mode occupies each within-round position
+    # exactly 5 times (a position-balanced design: on CPU-quota'd
+    # runners the later run of a round is systematically slower, and
     # an unbalanced rotation turns that into fake overhead).  Each
     # estimate compares per-mode *sums* over all rounds: position
     # effects cancel by symmetry and machine-level throughput drift
@@ -406,61 +366,51 @@ def bench_obs(
     one_run(None)
     factories = {
         "off": lambda: None,
-        "noop": Observability.disabled,
-        "on": lambda: Observability(trace=TraceBus(keep_events=False)),
+        "on": lambda: TraceBus(keep_events=False),
     }
     order = list(factories)
 
     def estimate():
         walls = {mode: float("inf") for mode in factories}
         totals = {mode: 0.0 for mode in factories}
-        for r in range(9):
-            for mode in order[r % 3:] + order[: r % 3]:
+        for r in range(10):
+            for mode in order[r % 2:] + order[: r % 2]:
                 wall = one_run(factories[mode]())
                 walls[mode] = min(walls[mode], wall)
                 totals[mode] += wall
-        return (
-            (totals["on"] / totals["off"] - 1.0) * 100.0,
-            (totals["noop"] / totals["off"] - 1.0) * 100.0,
-            walls,
-        )
+        return (totals["on"] / totals["off"] - 1.0) * 100.0, walls
 
     attempts = 0
-    overhead_pct, noop_pct, walls = float("inf"), float("inf"), {}
+    overhead_pct, walls = float("inf"), {}
     while attempts < 3:
         attempts += 1
-        oh, noop, w = estimate()
+        oh, w = estimate()
         if oh < overhead_pct:
-            overhead_pct, noop_pct, walls = oh, noop, w
+            overhead_pct, walls = oh, w
         if overhead_pct <= 5.0:
             break
-    off_wall, noop_wall, on_wall = walls["off"], walls["noop"], walls["on"]
 
     # Determinism witness: same seed, serial vs parallel engine, digests
     # must match byte-for-byte.  The serial run also produces the JSONL
     # artifact the CI lane uploads.
-    obs_serial = Observability(trace=TraceBus(path=trace_out))
-    one_run(obs_serial, parallelism=1, audit=True)
-    obs_serial.close()
-    obs_parallel = Observability()
-    one_run(obs_parallel, parallelism=workers, audit=True)
-    serial_digest = obs_serial.trace.digest
-    parallel_digest = obs_parallel.trace.digest
+    trace_serial = TraceBus(path=trace_out)
+    one_run(trace_serial, parallelism=1, audit=True)
+    trace_serial.close()
+    trace_parallel = TraceBus()
+    one_run(trace_parallel, parallelism=workers, audit=True)
 
     wid = f"obs_overhead[apps={n_apps},epochs={epochs}]"
     return wid, {
         "apps": n_apps,
         "epochs": epochs,
-        "off_wall_s": round(off_wall, 4),
-        "noop_wall_s": round(noop_wall, 4),
-        "on_wall_s": round(on_wall, 4),
-        "noop_overhead_pct": round(noop_pct, 2),
+        "off_wall_s": round(walls["off"], 4),
+        "on_wall_s": round(walls["on"], 4),
         "overhead_pct": round(overhead_pct, 2),
         "overhead_ok": overhead_pct <= 5.0,
         "estimate_attempts": attempts,
-        "trace_events": obs_serial.trace.count,
-        "trace_digest": serial_digest,
-        "identical": serial_digest == parallel_digest,
+        "trace_events": trace_serial.count,
+        "trace_digest": trace_serial.digest,
+        "identical": trace_serial.digest == trace_parallel.digest,
     }
 
 

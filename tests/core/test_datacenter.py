@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MegaDataCenter, PlatformConfig
+from repro.obs import TraceBus
 from repro.sim import RngHub
 from repro.workload import WorkloadBuilder
 from repro.workload.apps import AppSpec
@@ -88,6 +89,26 @@ def test_run_is_deterministic():
     dc2.run(5 * 60.0)
     assert dc1.link_utilizations() == dc2.link_utilizations()
     assert dc1.pod_utilizations() == dc2.pod_utilizations()
+
+
+@pytest.mark.parametrize(
+    "make_trace",
+    [lambda: TraceBus(enabled=False), lambda: TraceBus(keep_events=False)],
+    ids=["disabled-bus", "enabled-bus"],
+)
+def test_trace_seam_leaves_epochs_unchanged(make_trace):
+    """``trace=None`` (the default disabled bus), an explicit disabled
+    bus and a live bus all run the same epochs: tracing observes the
+    control loops without steering them."""
+    untraced = build_dc(seed=3)
+    traced = build_dc(seed=3, trace=make_trace())
+    untraced.run(5 * 60.0)
+    traced.run(5 * 60.0)
+    assert traced.epochs == untraced.epochs
+    assert traced.link_utilizations() == untraced.link_utilizations()
+    assert traced.pod_utilizations() == untraced.pod_utilizations()
+    assert np.array_equal(traced.satisfied.values(), untraced.satisfied.values())
+    assert traced.state.reconfigurations == untraced.state.reconfigurations
 
 
 def test_demand_growth_triggers_global_manager():

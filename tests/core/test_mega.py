@@ -9,7 +9,8 @@ mega-smoke job.
 import numpy as np
 import pytest
 
-from repro.core import MegaConfig, MegaScaleDriver
+from repro.core import MegaConfig, MegaControlPlaneConfig, MegaScaleDriver
+from repro.core.mega import MegaSteeringConfig
 
 
 def tiny(**over):
@@ -42,6 +43,64 @@ def test_config_validation():
         MegaConfig(target_utilization=1.5)
     with pytest.raises(ValueError):
         MegaConfig(vms_per_app=0)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        pytest.param(
+            "chunk_requests", lambda: MegaSteeringConfig(chunk_requests=0),
+            id="chunk_requests=0",
+        ),
+        pytest.param(
+            "requests_per_epoch",
+            lambda: MegaSteeringConfig(requests_per_epoch=0),
+            id="requests_per_epoch=0",
+        ),
+        pytest.param(
+            "violator_fraction",
+            lambda: MegaSteeringConfig(violator_fraction=1.5),
+            id="violator_fraction=1.5",
+        ),
+        pytest.param("epoch_s", lambda: MegaConfig(epoch_s=0), id="epoch_s=0"),
+        pytest.param("epoch_s", lambda: MegaConfig(epoch_s=-5), id="epoch_s=-5"),
+        pytest.param(
+            "chunk_apps", lambda: MegaConfig(chunk_apps=0), id="chunk_apps=0"
+        ),
+        pytest.param(
+            "wired_apps", lambda: MegaControlPlaneConfig(wired_apps=0),
+            id="wired_apps=0",
+        ),
+        pytest.param(
+            "vips_per_app", lambda: MegaControlPlaneConfig(vips_per_app=0),
+            id="vips_per_app=0",
+        ),
+        # 10,000 apps x 1 VIP overflow 2 shards x 2 switches x 256 VIPs.
+        pytest.param(
+            "wired_apps", lambda: MegaControlPlaneConfig(wired_apps=10_000),
+            id="wired_apps-over-vip-slots",
+        ),
+        pytest.param(
+            "wired_apps",
+            lambda: MegaControlPlaneConfig(
+                wired_apps=40, vips_per_app=2, n_shards=1,
+                switches_per_shard=1, max_vips=64,
+            ),
+            id="wired_apps-x-vips_per_app-over-vip-slots",
+        ),
+        # Spans two configs: more wired apps than the 60-app tiny fleet.
+        pytest.param(
+            "wired_apps",
+            lambda: MegaScaleDriver(
+                tiny(), control_plane=MegaControlPlaneConfig(wired_apps=61)
+            ),
+            id="wired_apps-over-n_apps",
+        ),
+    ],
+)
+def test_invalid_config_raises_naming_the_field(field, build):
+    with pytest.raises(ValueError, match=rf"^{field}="):
+        build()
 
 
 def test_quick_still_uses_bulk_sparse_path():

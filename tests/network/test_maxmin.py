@@ -128,16 +128,6 @@ def test_sparse_waterfill_bit_identical_to_dense_on_fabric(seed):
         routes, caps, demands=demands, weights=weights
     )
     assert np.array_equal(sparse_rates, dense_rates)
-    # And the cached-incidence path (what FlowAllocation.solve uses) is
-    # the same computation again.
-    from repro.network.maxmin import _incidence
-
-    A = _incidence(routes, len(caps))
-    cached = weighted_maxmin_fair(
-        routes, caps, demands=demands, weights=weights,
-        incidence=A, incidence_t=A.T.tocsr(),
-    )
-    assert np.array_equal(cached, sparse_rates)
 
 
 # ------------------------------------------------------------------ property

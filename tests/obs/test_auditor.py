@@ -7,7 +7,6 @@ from repro.core.datacenter import MegaDataCenter
 from repro.obs import (
     InvariantAuditor,
     InvariantViolation,
-    Observability,
     TraceBus,
 )
 from repro.sim.rng import RngHub
@@ -23,7 +22,7 @@ def small_dc(seed=3, audit=True, **kwargs):
         n_pods=2,
         servers_per_pod=8,
         n_switches=3,
-        obs=Observability(),
+        trace=TraceBus(),
         audit=audit,
         **kwargs,
     )
@@ -131,7 +130,7 @@ def test_audit_requires_enabled_trace():
     with pytest.raises(ValueError, match="enabled trace bus"):
         MegaDataCenter(
             apps, n_pods=2, servers_per_pod=4, n_switches=2,
-            obs=Observability.disabled(), audit=True,
+            trace=TraceBus(enabled=False), audit=True,
         )
 
 
@@ -142,8 +141,8 @@ def test_e14_crash_scenario_audits_clean():
     with zero violations."""
     from repro.experiments import e14_control_plane as e14
 
-    obs = Observability(trace=TraceBus(keep_events=False))
-    result = e14.run(obs=obs, audit=True)
+    trace = TraceBus(keep_events=False)
+    result = e14.run(trace=trace, audit=True)
     assert result.recovered
     assert all(c.violations == 0 for c in result.cases)
-    assert obs.trace.count > 0
+    assert trace.count > 0

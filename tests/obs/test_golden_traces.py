@@ -11,7 +11,7 @@ engines agree, which is the cross-process determinism contract.
 import json
 import pathlib
 
-from repro.obs import Observability, TraceBus
+from repro.obs import TraceBus
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -20,33 +20,33 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 def run_e01(parallelism: int = 1) -> str:
     from repro.experiments import e01_architecture as e01
 
-    obs = Observability(trace=TraceBus(keep_events=False))
+    trace = TraceBus(keep_events=False)
     e01.run(
         n_apps=16, total_gbps=8.0, n_pods=2, servers_per_pod=8,
-        n_switches=4, duration_s=600.0, seed=0, obs=obs, audit=True,
+        n_switches=4, duration_s=600.0, seed=0, trace=trace, audit=True,
         parallelism=parallelism,
     )
-    return obs.trace.digest
+    return trace.digest
 
 
 def run_e05() -> str:
     from repro.experiments.e05_vip_transfer import SwitchBalanceScenario
 
-    obs = Observability(trace=TraceBus(keep_events=False))
-    scenario = SwitchBalanceScenario(use_k2=True, seed=0, obs=obs)
+    trace = TraceBus(keep_events=False)
+    scenario = SwitchBalanceScenario(use_k2=True, seed=0, trace=trace)
     scenario.run(1800.0)
-    return obs.trace.digest
+    return trace.digest
 
 
 def run_e14() -> str:
     from repro.experiments import e14_control_plane as e14
 
-    obs = Observability(trace=TraceBus(keep_events=False))
+    trace = TraceBus(keep_events=False)
     e14.run(
         seed=42, duration_s=1500.0, checkpoint_intervals=(240.0,),
-        obs=obs, audit=True,
+        trace=trace, audit=True,
     )
-    return obs.trace.digest
+    return trace.digest
 
 
 def run_e15(workers: int = 1) -> str:

@@ -52,10 +52,10 @@ def test_tang_warm_workload_value_parity():
     assert metrics["warm_seeded"] > 0
 
 
-def test_maxmin_workload_identical_rates():
-    _, metrics = bench.bench_maxmin(n_flows=50, n_links=10, resolves=3)
-    assert metrics["identical"] is True
-    assert metrics["incidence_builds"] == 1
+def test_maxmin_workload_records_cold_wall():
+    wid, metrics = bench.bench_maxmin(n_flows=50, n_links=10, resolves=3)
+    assert wid == "maxmin[flows=50,links=10,resolves=3]"
+    assert metrics["cold_wall_s"] > 0
 
 
 def test_run_suite_schema(tiny_fixtures):
