@@ -209,14 +209,19 @@ class ColumnarPodState:
         """Adopt a solved placement; returns start/stop/size stats.
 
         The columnar analogue of ``PodManager._apply``: instead of
-        attaching/detaching VM objects one by one, the old and new entry
-        key sets are diffed wholesale.
+        attaching/detaching VM objects one by one, the placement is
+        swapped wholesale.
+
+        Precondition: *solution* was solved against ``self.placement``,
+        so ``solution.changes`` is the size of the old/new entry-set
+        symmetric difference (the perf engine's resident-state byte check
+        on ``current`` guarantees this).  Starts and stops then follow
+        without a second diff: ``started + stopped == changes`` and
+        ``started - stopped == new.nnz - old.nnz``.
         """
-        old_keys = self.placement.keys()
-        new_keys = solution.placement.keys()
-        common = np.intersect1d(old_keys, new_keys, assume_unique=True).size
-        started = int(new_keys.size - common)
-        stopped = int(old_keys.size - common)
+        changes = int(solution.changes)
+        started = (changes + solution.placement.nnz - self.placement.nnz) // 2
+        stopped = changes - started
         self.placement = solution.placement
         self.load = np.ascontiguousarray(solution.load, dtype=float)
         self.epochs_applied += 1
@@ -500,7 +505,8 @@ class ColumnarRipRegistry:
         n = self.n_rips
         rids = np.flatnonzero(self.rip_active[:n])
         apps = self.rip_app[rids]
-        order = np.lexsort((rids, apps))
+        # rids ascend, so a stable sort by app keeps each app's RIPs sorted.
+        order = np.argsort(apps, kind="stable")
         rids, apps = rids[order], apps[order]
         indptr = np.zeros(len(self.apps) + 1, dtype=np.int64)
         np.cumsum(np.bincount(apps, minlength=len(self.apps)), out=indptr[1:])
@@ -519,8 +525,8 @@ class ColumnarRipRegistry:
             return []
         indptr, rids = self.csr()
         aid = self.apps.get(app)
-        pids = np.unique(self.rip_pod[rids[indptr[aid] : indptr[aid + 1]]])
-        return sorted(self.pods.name(int(p)) for p in pids if p >= 0)
+        pids = self.rip_pod[rids[indptr[aid] : indptr[aid + 1]]]
+        return sorted({self.pods.name(int(p)) for p in pids if p >= 0})
 
     def homing(self, rip: str) -> Optional[tuple]:
         """``(app, vip, switch, pod, weight)`` of an active RIP, else None."""

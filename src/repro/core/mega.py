@@ -416,19 +416,32 @@ class MegaScaleDriver:
         self.control_plane = ShardedControlPlane(
             self._cp_env,
             switches,
-            PUBLIC_VIP_POOL(max(1000, cp.wired_apps * 2)),
+            # Sized from the VIPs the bootstrap requests, with 2x headroom.
+            PUBLIC_VIP_POOL(max(1000, cp.wired_apps * cp.vips_per_app * 2)),
             cp.n_shards,
             reconfig_s=cp.reconfig_s,
             trace=self.trace,
         )
         self._wired_gids = np.arange(cp.wired_apps, dtype=np.int64)
         self._VipRipRequest = VipRipRequest
-        for gid in self._wired_gids:
-            for _ in range(cp.vips_per_app):
-                self.control_plane.submit(
-                    VipRipRequest("new_vip", self._app_name(gid))
-                )
+        vip_requests = [
+            self.control_plane.submit(
+                VipRipRequest("new_vip", self._app_name(gid))
+            )
+            for gid in self._wired_gids
+            for _ in range(cp.vips_per_app)
+        ]
         self._cp_env.run()
+        # A VIP that failed to land leaves its app with fewer VIPs than
+        # configured (or none at all); that must not pass silently.
+        failed = [ev for ev in vip_requests if not ev.ok or ev.value is None]
+        if failed:
+            first = failed[0]
+            reason = repr(first.value) if not first.ok else "rejected"
+            raise RuntimeError(
+                f"{len(failed)} of {len(vip_requests)} bootstrap new_vip "
+                f"requests did not land (first: {reason})"
+            )
         for gid in self._wired_gids:
             app = self._app_name(gid)
             for pod_name in self._covering_pods(int(gid)):

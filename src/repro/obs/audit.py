@@ -223,10 +223,14 @@ class InvariantAuditor:
                 self._flag(t, "mega-mem", pod=pod.pod)
         cover = getattr(driver, "_app_alive_cover", None)
         if cover is not None:
-            expected = np.zeros_like(cover)
-            for p in range(driver.config.n_pods):
-                if driver.pod_alive[p]:
-                    expected[driver._pod_app_gids(p)] += 1
+            # App g covers pods (g + j) % n_pods for j < cover, so its
+            # alive cover is a circular window sum of the liveness mask,
+            # read off a cumsum over the mask laid twice end to end.
+            cfg = driver.config
+            alive = np.asarray(driver.pod_alive, dtype=np.int64)
+            csum = np.concatenate(([0], np.cumsum(np.tile(alive, 2))))
+            window = csum[cfg.cover : cfg.cover + cfg.n_pods] - csum[: cfg.n_pods]
+            expected = window[np.arange(cover.shape[0]) % cfg.n_pods]
             if not np.array_equal(cover, expected):
                 bad = int((cover != expected).sum())
                 self._flag(t, "mega-cover", apps_wrong=bad)

@@ -101,11 +101,13 @@ class SparsePlacement:
 
         Returns ``(placement, order)`` where ``order`` is the permutation
         that row-major-sorted the entries — apply it to any per-entry
-        payload (e.g. loads) to keep it aligned with ``indices``.
+        payload (e.g. loads) to keep it aligned with ``indices``.  The
+        sort is stable on the flat key ``row * A + col``, so duplicate
+        entries keep their input order.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * np.int64(shape[1]) + cols, kind="stable")
         rows = rows[order]
         cols = cols[order]
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
@@ -205,10 +207,17 @@ class SparsePlacement:
 
 
 def sparse_count_changes(before: SparsePlacement, after: SparsePlacement) -> int:
-    """Placement churn (starts + stops) between two CSR placements."""
-    kb, ka = before.keys(), after.keys()
-    common = np.intersect1d(kb, ka, assume_unique=True).size
-    return int(kb.size + ka.size - 2 * common)
+    """Placement churn (starts + stops) between two CSR placements.
+
+    Both key arrays are already sorted and unique (CSR rows in order,
+    strictly increasing columns).  A stable sort of the two laid end to
+    end is one linear merge of two runs, after which each common key is
+    an adjacent equal pair.
+    """
+    merged = np.concatenate([before.keys(), after.keys()])
+    merged.sort(kind="stable")
+    common = int(np.count_nonzero(merged[1:] == merged[:-1]))
+    return int(merged.size - 2 * common)
 
 
 @dataclass
@@ -297,33 +306,53 @@ def sparse_waterfill(
     :func:`repro.placement.greedy.waterfill_load`; segment sums run over
     entry lists via ``bincount`` instead of dense axis reductions, so the
     float associativity differs (see module docstring).
+
+    Each round works on the entries that can receive a grant, in entry
+    order.  Every other entry's grant is exactly 0.0, and leaving +0.0
+    terms out of a ``bincount`` sum (or an addition) changes no bit, so
+    the result equals the all-entries formulation.  After the first
+    round typically only a handful of apps still have demand, so later
+    rounds cost little.
     """
     s_count, a_count = placement.shape
     rows = placement.rows()
     cols = placement.indices
+    idx = np.arange(rows.shape[0])
     load = np.zeros(rows.shape[0])
     remaining = np.asarray(app_cpu_demand, dtype=float).copy()
     free = np.asarray(server_cpu, dtype=float).copy()
     for _ in range(rounds):
-        entry_open = free[rows] > 1e-12
+        has_demand = remaining > 1e-12
+        # Remaining demand never grows, so this candidate set only shrinks.
+        live = has_demand[cols]
+        if not live.all():
+            rows, cols, idx = rows[live], cols[live], idx[live]
+        entry_open = (free > 1e-12)[rows]
         counts = np.bincount(cols[entry_open], minlength=a_count)
-        active = (remaining > 1e-12) & (counts > 0)
+        active = has_demand & (counts > 0)
         if not active.any():
             break
         entry_act = entry_open & active[cols]
-        want = np.zeros_like(load)
-        act_cols = cols[entry_act]
-        want[entry_act] = remaining[act_cols] / counts[act_cols]
-        want_per_server = np.bincount(rows, weights=want, minlength=s_count)
+        if entry_act.all():
+            act_rows, act_cols, act_idx = rows, cols, idx
+        else:
+            act_rows = rows[entry_act]
+            act_cols = cols[entry_act]
+            act_idx = idx[entry_act]
+        want = remaining[act_cols] / counts[act_cols]
+        want_per_server = np.bincount(act_rows, weights=want, minlength=s_count)
         safe = np.where(want_per_server > 1e-15, want_per_server, 1.0)
         scale = np.where(
             want_per_server > 1e-15, np.minimum(1.0, free / safe), 0.0
         )
-        grant = want * scale[rows]
-        load += grant
-        free -= np.bincount(rows, weights=grant, minlength=s_count)
+        grant = want * scale[act_rows]
+        if act_idx.size == load.size:
+            load += grant
+        else:
+            load[act_idx] += grant
+        free -= np.bincount(act_rows, weights=grant, minlength=s_count)
         np.maximum(free, 0.0, out=free)
-        remaining -= np.bincount(cols, weights=grant, minlength=a_count)
+        remaining -= np.bincount(act_cols, weights=grant, minlength=a_count)
         np.maximum(remaining, 0.0, out=remaining)
     return load
 
@@ -409,7 +438,9 @@ class SparseGreedyController:
         )
         n_inst = cur.instance_counts()
 
-        key_sorted = np.sort(rows * np.int64(a_count) + cols)
+        # Row-major CSR with strictly increasing columns: already sorted.
+        cur_keys = rows * np.int64(a_count) + cols
+        key_sorted = cur_keys
         new_rows, new_cols, new_load = [], [], []
 
         for rnd in range(self.start_rounds):
@@ -464,40 +495,72 @@ class SparseGreedyController:
             new_rows.append(srv)
             new_cols.append(apps)
             new_load.append(grant)
-            key_sorted = np.sort(
-                np.concatenate([key_sorted, srv * np.int64(a_count) + apps])
+            # Merge this round's (few) new keys into the sorted table.
+            new_keys = np.sort(srv * np.int64(a_count) + apps)
+            key_sorted = np.insert(
+                key_sorted, np.searchsorted(key_sorted, new_keys), new_keys
             )
 
-        all_rows = np.concatenate([rows] + new_rows) if new_rows else rows
-        all_cols = np.concatenate([cols] + new_cols) if new_cols else cols
-        all_load = np.concatenate([load] + new_load) if new_load else load
-
-        if self.stop_idle and all_load.size:
-            keep = all_load > 1e-12
+        # Started entries: keys absent from the current placement and
+        # from each other (the `exists` probe).
+        if new_rows:
+            new_rows, new_cols, new_load = (
+                np.concatenate(parts) for parts in (new_rows, new_cols, new_load)
+            )
+        else:
+            new_rows = new_cols = np.zeros(0, dtype=np.int64)
+            new_load = np.zeros(0)
+        keep = np.ones(cols.shape[0], dtype=bool)
+        new_keep = np.ones(new_cols.shape[0], dtype=bool)
+        if self.stop_idle:
+            keep = load > 1e-12
+            new_keep = new_load > 1e-12
             kept_counts = np.bincount(
-                all_cols[keep], minlength=a_count
-            )
-            placed_apps = np.unique(all_cols)
-            rescue = placed_apps[kept_counts[placed_apps] == 0]
-            if rescue.size:
-                # Keep the (lowest server, app) entry of each app that
-                # would otherwise lose its last instance.
-                order = np.lexsort((all_rows, all_cols))
-                first = order[np.searchsorted(all_cols[order], rescue)]
-                keep[first] = True
-            all_rows, all_cols, all_load = (
-                all_rows[keep],
-                all_cols[keep],
-                all_load[keep],
-            )
-
-        placement, order = SparsePlacement.from_entries(
-            (s_count, a_count), all_rows, all_cols, check=False
+                cols[keep], minlength=a_count
+            ) + np.bincount(new_cols[new_keep], minlength=a_count)
+            # Entries of apps that would lose their last instance.
+            lost = kept_counts == 0
+            at_cur = np.flatnonzero(lost[cols])
+            at_new = np.flatnonzero(lost[new_cols])
+            if at_cur.size or at_new.size:
+                # Keep the (lowest server, app) entry of each such app:
+                # order the few rescue entries app-major (keys are unique)
+                # and take each app's first.
+                r_rows = np.concatenate([rows[at_cur], new_rows[at_new]])
+                r_cols = np.concatenate([cols[at_cur], new_cols[at_new]])
+                order = np.argsort(r_cols * np.int64(s_count) + r_rows)
+                first = order[np.diff(r_cols[order], prepend=-1) != 0]
+                from_cur = first < at_cur.size
+                keep[at_cur[first[from_cur]]] = True
+                new_keep[at_new[first[~from_cur] - at_cur.size]] = True
+        new_rows, new_cols, new_load = (
+            new_rows[new_keep], new_cols[new_keep], new_load[new_keep]
         )
+        # Churn without a key diff: the current entries dropped plus the
+        # started entries kept.
+        changes = int(np.count_nonzero(~keep) + new_cols.shape[0])
+
+        # The kept current entries are still in row-major key order; merge
+        # the (few) started ones in by key.
+        new_keys = new_rows * np.int64(a_count) + new_cols
+        by_key = np.argsort(new_keys)
+        at = np.searchsorted(cur_keys[keep], new_keys[by_key])
+        row_counts = (
+            np.diff(cur.indptr)
+            - np.bincount(rows[~keep], minlength=s_count)
+            + np.bincount(new_rows, minlength=s_count)
+        )
+        indptr = np.zeros(s_count + 1, dtype=np.int64)
+        np.cumsum(row_counts, out=indptr[1:])
         solution = SparseSolution(
-            placement=placement,
-            load=np.ascontiguousarray(all_load[order]),
-            changes=sparse_count_changes(cur, placement),
+            placement=SparsePlacement(
+                (s_count, a_count),
+                indptr,
+                np.insert(cols[keep], at, new_cols[by_key]),
+                check=False,
+            ),
+            load=np.insert(load[keep], at, new_load[by_key]),
+            changes=changes,
             wall_time_s=0.0,
         )
         solution.wall_time_s = time.perf_counter() - t0

@@ -8,6 +8,8 @@ the columnar current matrix must be bit-identical to what
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ColumnarPodState, ColumnarServers
 from repro.core.columnar import IdIndex
@@ -15,7 +17,11 @@ from repro.core.pod import Pod
 from repro.core.pod_manager import PodManager
 from repro.hosts.server import PhysicalServer, ServerSpec
 from repro.lbswitch.addresses import PRIVATE_RIP_POOL
-from repro.placement.sparse import SparsePlacement, SparseSolution
+from repro.placement.sparse import (
+    SparseGreedyController,
+    SparsePlacement,
+    SparseSolution,
+)
 from repro.workload.apps import AppSpec
 from repro.workload.demand import ConstantDemand
 
@@ -304,3 +310,33 @@ def test_sparse_row_surgery_primitives():
     )
     empty = SparsePlacement.empty((2, 4))
     assert empty.shape == (2, 4) and empty.nnz == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 10)),
+    dense_limit=st.sampled_from([1, 1 << 22]),
+    data=st.data(),
+)
+def test_apply_counts_match_key_set_diff(shape, dense_limit, data):
+    """``apply`` derives starts/stops from ``solution.changes``; both the
+    dense-delegate and the bulk solve must give the counts a direct diff
+    of the old and new entry-key sets gives."""
+    s, a = shape
+    cells = data.draw(st.lists(st.booleans(), min_size=s * a, max_size=s * a))
+    state = make_state(np.asarray(cells, dtype=bool).reshape(s, a), cpu=2.0)
+    demand = np.asarray(
+        data.draw(
+            st.lists(
+                st.floats(0.0, 6.0, allow_nan=False), min_size=a, max_size=a
+            )
+        )
+    )
+    old_keys = set(state.placement.keys().tolist())
+    problem = state.build_problem(demand)
+    solution = SparseGreedyController(dense_limit=dense_limit).solve(problem)
+    new_keys = set(solution.placement.keys().tolist())
+    stats = state.apply(solution)
+    assert stats["started"] == len(new_keys - old_keys)
+    assert stats["stopped"] == len(old_keys - new_keys)
+    assert stats["changes"] == solution.changes

@@ -126,6 +126,34 @@ def test_bootstrap_covers_every_app_and_fits_memory():
         assert (covered == driver.config.cover).all()
 
 
+def test_vip_pool_fits_every_wired_vip():
+    """600 apps x 3 VIPs need 1,800 addresses; a pool sized from the app
+    count alone (1,200) once left 200 wired apps with no VIP at all."""
+    cp = MegaControlPlaneConfig(wired_apps=600, vips_per_app=3, max_vips=512)
+    driver = MegaScaleDriver(
+        tiny(n_apps=600, servers_per_pod=200, server_mem_gb=1024),
+        control_plane=cp,
+    )
+    with driver:
+        assert driver.control_plane.errored == 0
+        for gid in range(cp.wired_apps):
+            vips = driver.control_plane.vips_of(driver._app_name(gid))
+            assert len(vips) == cp.vips_per_app
+
+
+def test_bootstrap_vip_failure_raises(monkeypatch):
+    import repro.lbswitch.addresses as addresses
+
+    real_pool = addresses.PUBLIC_VIP_POOL
+    monkeypatch.setattr(
+        addresses, "PUBLIC_VIP_POOL", lambda size: real_pool(10)
+    )
+    with pytest.raises(RuntimeError, match="10 of 20 bootstrap new_vip"):
+        MegaScaleDriver(
+            tiny(), control_plane=MegaControlPlaneConfig(wired_apps=20)
+        )
+
+
 def test_pod_app_gids_partition_is_balanced():
     with MegaScaleDriver(tiny()) as driver:
         sizes = {p.n_apps for p in driver.pods}

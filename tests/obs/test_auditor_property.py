@@ -5,11 +5,13 @@ schedules) must never produce a violation, and randomly chosen deliberate
 corruptions must always be caught by the matching invariant.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.datacenter import MegaDataCenter
+from repro.core.mega import MegaConfig, MegaScaleDriver
 from repro.faults import FaultInjector, FaultSchedule
 from repro.obs import InvariantAuditor, TraceBus
 from repro.sim.rng import RngHub
@@ -139,3 +141,44 @@ def test_injected_corruption_is_always_caught(kind, seed):
     found = dc.auditor.audit_now(dc.env.now)
     dc.close()
     assert any(v.invariant == expect for v in found), (kind, found)
+
+
+# ------------------------------------------------- columnar mega-cover
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_pods=st.integers(min_value=2, max_value=7),
+    vms_per_app=st.integers(min_value=1, max_value=8),
+    kills=st.lists(st.integers(0, 6), max_size=4, unique=True),
+    corrupt=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 59), st.sampled_from([-2, -1, 1, 2])),
+    ),
+)
+def test_mega_cover_flags_exactly_injected_corruptions(
+    n_pods, vms_per_app, kills, corrupt
+):
+    """The ``mega-cover`` sweep (a circular window sum over the pod
+    liveness mask) agrees with the per-pod definition under any set of
+    lost pods, stays silent on the driver's own accounting, and flags a
+    tampered cover entry every time."""
+    cfg = MegaConfig.tiny(n_pods=n_pods, vms_per_app=vms_per_app)
+    with MegaScaleDriver(cfg) as driver:
+        for p in kills:
+            if p < n_pods:
+                driver.lose_pod(f"pod-{p:03d}")
+        by_pod = np.zeros(cfg.n_apps, dtype=np.int64)
+        for p in np.flatnonzero(driver.pod_alive):
+            by_pod[driver._pod_app_gids(int(p))] += 1
+        assert np.array_equal(driver._app_alive_cover, by_pod)
+        if corrupt is not None:
+            gid, delta = corrupt
+            driver._app_alive_cover[gid] += delta
+        auditor = InvariantAuditor(columnar=driver)
+        auditor.audit_now(0.0)
+    assert [v.invariant for v in auditor.violations] == (
+        [] if corrupt is None else ["mega-cover"]
+    )
+    if corrupt is not None:
+        assert auditor.violations[0].detail == {"apps_wrong": 1}

@@ -258,3 +258,52 @@ def test_engine_ships_sparse_solutions_identically():
     parallel_sigs, delta_tasks = run(2)
     assert serial_sigs == parallel_sigs
     assert delta_tasks == pods  # epoch 1 shipped demand-only deltas
+
+
+# ------------------------------------------------- sort-free set operations
+
+
+@st.composite
+def csr_pair(draw, max_servers=6, max_apps=8):
+    """Two random CSR placements of one shape (either may be empty)."""
+    s = draw(st.integers(0, max_servers))
+    a = draw(st.integers(1, max_apps))
+    cells = st.lists(st.booleans(), min_size=s * a, max_size=s * a)
+    before = np.asarray(draw(cells), dtype=bool).reshape(s, a)
+    after = np.asarray(draw(cells), dtype=bool).reshape(s, a)
+    return SparsePlacement.from_dense(before), SparsePlacement.from_dense(after)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_pair())
+def test_count_changes_is_key_set_symmetric_difference(pair):
+    before, after = pair
+    kb, ka = before.keys().tolist(), after.keys().tolist()
+    assert sparse_count_changes(before, after) == len(set(kb) ^ set(ka))
+    assert sparse_count_changes(before, before) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 9)),
+    data=st.data(),
+)
+def test_from_entries_order_matches_lexsort(shape, data):
+    """The stable flat-key argsort is exactly the (row, col) lexsort,
+    duplicate entries included, and the CSR it builds matches."""
+    s, a = shape
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, s - 1), st.integers(0, a - 1)),
+            max_size=40,
+        )
+    )
+    rows = np.asarray([r for r, _ in entries], dtype=np.int64)
+    cols = np.asarray([c for _, c in entries], dtype=np.int64)
+    placement, order = SparsePlacement.from_entries(
+        (s, a), rows, cols, check=False
+    )
+    expect = np.lexsort((cols, rows))
+    assert np.array_equal(order, expect)
+    assert np.array_equal(placement.indices, cols[expect])
+    assert np.array_equal(placement.rows(), rows[expect])
