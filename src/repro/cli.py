@@ -359,7 +359,11 @@ def main(argv: list[str] | None = None) -> int:
         "300k servers / 300k apps / ~6M VMs",
     )
     mega_p.add_argument(
-        "--epochs", type=int, default=2, help="placement epochs to run"
+        "--epochs",
+        type=int,
+        default=6,
+        help="placement epochs to run; the first pays the full ship, the "
+        "median of the rest is wall_per_epoch_s",
     )
     mega_p.add_argument(
         "--workers",

@@ -126,31 +126,46 @@ class ColumnarConnTable:
         n = vip.shape[0]
         if n == 0:
             return np.zeros(0, dtype=bool)
+        per_switch = np.bincount(switch, minlength=self.switch_cap.shape[0])
+        if (self.switch_count + per_switch <= self.switch_cap).all():
+            # No switch can fill, so the sequential check admits every
+            # open and the per-switch positions are never needed.
+            self._append(vip, rip, switch, close_epoch, per_switch)
+            return np.ones(n, dtype=bool)
         pos = _group_positions(switch)
         accepted = self.switch_count[switch] + pos < self.switch_cap[switch]
         rej = np.flatnonzero(~accepted)
-        if rej.size:
-            np.add.at(self.rejected_by_switch, switch[rej], 1)
+        np.add.at(self.rejected_by_switch, switch[rej], 1)
         acc = np.flatnonzero(accepted)
         if acc.size:
-            self._ensure(acc.size)
-            lo, hi = self._size, self._size + acc.size
-            self.conn_vip[lo:hi] = vip[acc]
-            self.conn_rip[lo:hi] = rip[acc]
-            self.conn_switch[lo:hi] = switch[acc]
-            self.close_epoch[lo:hi] = close_epoch[acc]
-            self.alive[lo:hi] = True
-            self._size = hi
-            self.switch_count += np.bincount(
-                switch[acc], minlength=self.switch_cap.shape[0]
+            switch = switch[acc]
+            self._append(
+                vip[acc], rip[acc], switch, close_epoch[acc],
+                np.bincount(switch, minlength=self.switch_cap.shape[0]),
             )
-            if vip[acc].size:
-                self.ensure_vips(int(vip[acc].max()) + 1)
-                self.vip_count += np.bincount(
-                    vip[acc], minlength=self.vip_count.shape[0]
-                )
-            self.opened += acc.size
         return accepted
+
+    def _append(
+        self,
+        vip: np.ndarray,
+        rip: np.ndarray,
+        switch: np.ndarray,
+        close_epoch: np.ndarray,
+        per_switch: np.ndarray,
+    ) -> None:
+        """Store admitted opens as new rows; *per_switch* counts them."""
+        self._ensure(vip.size)
+        lo, hi = self._size, self._size + vip.size
+        self.conn_vip[lo:hi] = vip
+        self.conn_rip[lo:hi] = rip
+        self.conn_switch[lo:hi] = switch
+        self.close_epoch[lo:hi] = close_epoch
+        self.alive[lo:hi] = True
+        self._size = hi
+        self.switch_count += per_switch
+        self.ensure_vips(int(vip.max()) + 1)
+        self.vip_count += np.bincount(vip, minlength=self.vip_count.shape[0])
+        self.opened += vip.size
 
     def _retire(self, idx: np.ndarray) -> int:
         """Mark rows dead and roll their counters back."""

@@ -3,8 +3,9 @@
 One :class:`VectorizedDnsTable` replaces an authority plus a whole
 resolver population on the hot path: per-app VIP weight vectors become
 per-app CDF segments (built through the shared
-:func:`repro.dns.policy.weighted_cdf`, so a batched ``searchsorted`` draw
-is bit-identical to the scalar ``AuthoritativeDNS.resolve``), and every
+:func:`repro.dns.policy.weighted_cdf`, so a batched
+:func:`~repro.dns.policy.segmented_pick` draw is bit-identical to the
+scalar ``AuthoritativeDNS.resolve``), and every
 resolver's TTL cache becomes one row of a ``(n_resolvers, n_apps)``
 expiry matrix instead of a per-resolver dict.
 
@@ -27,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dns.policy import weighted_cdf
+from repro.dns.policy import segmented_pick, weighted_cdf
 
 
 class VectorizedDnsTable:
@@ -139,45 +140,46 @@ class VectorizedDnsTable:
         ``Resolver.lookup`` calls would (see the module docstring for the
         within-batch duplicate semantics).
         """
-        out = np.empty(resolver.shape[0], dtype=np.int64)
-        fresh = now < self.expires[resolver, app]
+        n = resolver.shape[0]
+        out = np.empty(n, dtype=np.int64)
+        # One flat cell index per request, read and written through 1-D
+        # views of the (resolver, app) cache columns.
+        cell = resolver * np.int64(self.n_apps) + app
+        cached = self.cached.reshape(-1)
+        expires = self.expires.reshape(-1)
+        fresh = now < expires[cell]
         hits = np.flatnonzero(fresh)
-        out[hits] = self.cached[resolver[hits], app[hits]]
+        out[hits] = cached[cell[hits]]
         miss = np.flatnonzero(~fresh)
         if miss.size == 0:
             self.cache_hits += hits.size
             return out
+        miss_cell = cell[miss]
         if self.ttl_s > 0:
-            # Only the first occurrence of each (resolver, app) pair
-            # queries; the rest hit the entry it caches.
-            key = resolver[miss] * np.int64(self.n_apps) + app[miss]
-            _, first = np.unique(key, return_index=True)
-            draw = miss[np.sort(first)]
+            # Only the first occurrence of each stale cell queries; the
+            # rest hit the entry it caches.  Stamp every stale cell with
+            # its first miss position (the draws below overwrite them all).
+            cached[miss_cell] = n
+            np.minimum.at(cached, miss_cell, miss)
+            draw = miss[cached[miss_cell] == miss]
         else:
             draw = miss
-        apps_d = app[draw]
-        order = np.argsort(apps_d, kind="stable")
-        sorted_apps = apps_d[order]
-        chosen = np.empty(draw.size, dtype=np.int64)
-        bounds = np.flatnonzero(np.diff(sorted_apps)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [sorted_apps.size]))
-        for s, e in zip(starts, ends):
-            a = int(sorted_apps[s])
-            lo, hi = self.vip_indptr[a], self.vip_indptr[a + 1]
-            sel = order[s:e]
-            chosen[sel] = lo + np.searchsorted(
-                self.cdf[lo:hi], u_dns[draw[sel]], side="right"
-            )
-        out[draw] = chosen
-        self.cached[resolver[draw], app[draw]] = chosen
-        self.expires[resolver[draw], app[draw]] = (
-            now + self.ttl_eff[resolver[draw]]
+        app_d = app[draw]
+        chosen = segmented_pick(
+            self.cdf,
+            self.vip_indptr[app_d],
+            self.vip_indptr[app_d + 1],
+            u_dns[draw],
         )
-        if self.ttl_s > 0 and draw.size < miss.size:
+        draw_cell = cell[draw]
+        cached[draw_cell] = chosen
+        expires[draw_cell] = now + self.ttl_eff[resolver[draw]]
+        if draw.size < miss.size:
             # Later duplicates read the entry their first occurrence
             # just cached — sequentially those are cache *hits*.
-            out[miss] = self.cached[resolver[miss], app[miss]]
+            out[miss] = cached[miss_cell]
+        else:
+            out[draw] = chosen
         self.cache_misses += draw.size
         self.cache_hits += hits.size + (miss.size - draw.size)
         return out

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.columnar import ColumnarRipRegistry
 from repro.dataplane.conntable import ColumnarConnTable
 from repro.dataplane.dnstable import VectorizedDnsTable
-from repro.dns.policy import weighted_cdf
+from repro.dns.policy import segmented_pick, weighted_cdf
 from repro.workload.requests import RequestStream
 
 
@@ -252,25 +252,11 @@ class ColumnarDataPlane:
                 chunk.resolver, chunk.app, chunk.u_dns, now=t
             )
             vid = self._slot_vid[slot]
-            served = indptr[vid + 1] > indptr[vid]
-            srv = np.flatnonzero(served)
+            lo, hi = indptr[vid], indptr[vid + 1]
+            srv = np.flatnonzero(hi > lo)
             rep.unserved += n - srv.size
             vids_s = vid[srv]
-            rid = np.empty(srv.size, dtype=np.int64)
-            order = np.argsort(vids_s, kind="stable")
-            sorted_v = vids_s[order]
-            bounds = np.flatnonzero(np.diff(sorted_v)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sorted_v.size]))
-            u_rip_s = chunk.u_rip[srv]
-            for s, e in zip(starts, ends):
-                v = int(sorted_v[s])
-                lo, hi = int(indptr[v]), int(indptr[v + 1])
-                sel = order[s:e]
-                rid[sel] = rids[
-                    lo
-                    + np.searchsorted(cdf[lo:hi], u_rip_s[sel], side="right")
-                ]
+            rid = rids[segmented_pick(cdf, lo[srv], hi[srv], chunk.u_rip[srv])]
             accepted = self.conn.try_open_batch(
                 vids_s,
                 rid,

@@ -53,6 +53,33 @@ def weighted_pick(
     return idx
 
 
+def segmented_pick(
+    cdf: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Per-request draw over concatenated CDF segments, in one pass set.
+
+    Request *i* owns the segment ``cdf[lo[i]:hi[i]]`` (non-empty) and
+    gets ``lo[i] + np.searchsorted(cdf[lo[i]:hi[i]], u[i], side="right")``
+    — the same index a per-segment :func:`weighted_pick` would return —
+    without grouping requests by segment.  It is a branchless upper-bound
+    bisection run on every request at once: the candidate window
+    ``[base, base + n]`` halves each pass with one gather and one ``<=``,
+    so the pass count is set by the longest segment, and no float
+    arithmetic touches the CDF, which keeps ties (zero weights) and
+    ``u`` at or past the last entry exact.
+    """
+    base = np.array(lo, dtype=np.int64)
+    if base.size == 0:
+        return base
+    n = np.asarray(hi, dtype=np.int64) - base
+    for _ in range(int(n.max() - 1).bit_length()):
+        half = n >> 1
+        base += half * (cdf[base + half] <= u)
+        n -= half
+    base += cdf[base] <= u
+    return base
+
+
 class ExposurePolicy(abc.ABC):
     """Strategy interface for computing VIP exposure weights."""
 

@@ -20,9 +20,10 @@ original with three mechanisms:
   changed (the common drifting-demand case) it ships just that array; a
   changed server set, app set, capacity, or placement (fault paths, K3
   transfers) invalidates the resident state and re-ships the full
-  problem.  Classification is byte-exact (``tobytes`` comparison), so a
-  delta-solved epoch is *identical* to a full-shipped one — the parity
-  property suite in ``tests/perf`` locks that down.
+  problem.  Classification is byte-exact (the driver holds last epoch's
+  arrays by reference, read-only, and compares by identity first, then
+  by bytes), so a delta-solved epoch is *identical* to a full-shipped
+  one — the parity property suite in ``tests/perf`` locks that down.
 
 * **Columnar result encoding.**  Workers return solutions as a packed
   bitmap (placement) plus the nonzero load entries instead of a dense
@@ -113,38 +114,69 @@ def solve_placement_task(task: PlacementTask) -> PlacementSolution:
 # ------------------------------------------------------------------ codecs
 
 
-def _struct_key(problem: PlacementProblem) -> tuple:
-    """Byte-exact identity of a problem's *structural* fields — everything
-    except the demand vector and the current placement."""
-    mi = problem.max_instances
+#: The problem fields a pod's worker keeps resident between epochs — all
+#: of a problem but its demand vector.
+_RESIDENT_FIELDS = (
+    "current", "server_cpu", "server_mem", "app_mem", "max_instances",
+)
+
+
+def _crc(arr, h: int = 0) -> int:
+    """CRC32 over an array's exact bytes (dense ndarray or CSR placement),
+    continuing from *h*."""
+    if isinstance(arr, SparsePlacement):
+        return zlib.crc32(arr.tobytes(), h)
+    return zlib.crc32(np.ascontiguousarray(arr), h)
+
+
+def _fingerprint(state) -> int:
+    """CRC32 witness of a pod's resident fields, read off a problem or a
+    worker's :class:`_ResidentPod` alike; driver and worker compare it
+    before a delta solve."""
+    shape = state.current.shape
+    h = zlib.crc32(f"{shape[0]}x{shape[1]}".encode())
+    for name in _RESIDENT_FIELDS:
+        arr = getattr(state, name)
+        if arr is not None:
+            h = _crc(arr, h)
+    return h
+
+
+def _same(a, b) -> bool:
+    """Byte-exact equality of two resident fields: identity first (the
+    columnar loop hands back the very arrays it solved), then a
+    comparison of shape, dtype and raw bytes."""
+    if a is b:
+        return True
+    if a is None or b is None:
+        return False
+    if isinstance(a, SparsePlacement) or isinstance(b, SparsePlacement):
+        return (
+            isinstance(a, SparsePlacement)
+            and isinstance(b, SparsePlacement)
+            and a.shape == b.shape
+            and _same(a.indptr, b.indptr)
+            and _same(a.indices, b.indices)
+        )
     return (
-        problem.current.shape,
-        problem.server_cpu.tobytes(),
-        problem.server_mem.tobytes(),
-        problem.app_mem.tobytes(),
-        mi.tobytes() if mi is not None else b"",
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(_raw(a), _raw(b))
     )
 
 
-def _struct_nbytes(struct: tuple) -> int:
-    return sum(len(b) for b in struct[1:])
+def _raw(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
 
 
-def _fingerprint(struct: tuple, current_bytes: bytes) -> int:
-    """CRC32 witness of (structure, placement) used to cross-check that
-    driver and worker agree before a delta solve."""
-    shape = struct[0]
-    h = zlib.crc32(f"{shape[0]}x{shape[1]}".encode())
-    for b in struct[1:]:
-        h = zlib.crc32(b, h)
-    return zlib.crc32(current_bytes, h)
-
-
-def _crc(arr) -> int:
-    """CRC32 over an array's exact bytes (dense ndarray or CSR placement)."""
-    if isinstance(arr, SparsePlacement):
-        return zlib.crc32(arr.tobytes())
-    return zlib.crc32(np.ascontiguousarray(arr))
+def _arrays(fields: tuple):
+    """The ndarrays behind resident fields (a CSR placement has two)."""
+    for f in fields:
+        if isinstance(f, SparsePlacement):
+            yield f.indptr
+            yield f.indices
+        elif f is not None:
+            yield f
 
 
 def _encode_solution(sol) -> tuple:
@@ -248,17 +280,6 @@ class _ResidentPod:
             max_instances=self.max_instances,
         )
 
-    def fingerprint(self) -> int:
-        mi = self.max_instances
-        struct = (
-            self.current.shape,
-            self.server_cpu.tobytes(),
-            self.server_mem.tobytes(),
-            self.app_mem.tobytes(),
-            mi.tobytes() if mi is not None else b"",
-        )
-        return _fingerprint(struct, self.current.tobytes())
-
 
 def _controller_counters(controller) -> Optional[dict]:
     names = getattr(type(controller), "PERF_COUNTERS", ())
@@ -287,7 +308,7 @@ def _worker_solve(key: str, mode: str, payload: tuple, seed: Optional[int]):
         demand, expected_fp = payload
         if pod is None:  # pragma: no cover - protocol bug guard
             raise EngineProtocolError(f"delta task for non-resident pod {key!r}")
-        if pod.fingerprint() != expected_fp:  # pragma: no cover - guard
+        if _fingerprint(pod) != expected_fp:  # pragma: no cover - guard
             raise EngineProtocolError(f"resident state diverged for {key!r}")
         problem = pod.rebuild_problem(demand)
     solution = solve_placement_task(
@@ -307,19 +328,42 @@ class _Dispatch:
 
     mode: str  # "full" | "delta"
     ship_controller: bool
-    struct: tuple
-    current_bytes: bytes
-    fingerprint: int
     nbytes: int
 
 
 @dataclass
 class _ResidentRecord:
-    """The driver's mirror of one pod's worker-resident state."""
+    """The driver's mirror of one pod's worker-resident state.
+
+    ``fields`` holds the resident arrays by reference, in
+    ``_RESIDENT_FIELDS`` order, with ``current`` being the last solution.
+    While held they are read-only, so an in-place write raises instead of
+    silently desynchronising a delta solve; ``frozen`` lists the arrays
+    this record made read-only, which are made writeable again when the
+    record lets go of them (a controller may reuse its own buffer then).
+    """
 
     controller: object
-    struct: tuple
-    current_bytes: bytes
+    fields: tuple
+    frozen: tuple
+
+
+def _hold(fields: tuple, frozen: tuple) -> tuple:
+    """Make the arrays of *fields* read-only and writeable again those of
+    the previous hold *frozen* that *fields* no longer holds; returns the
+    arrays the new hold made read-only."""
+    held = list(_arrays(fields))
+    kept = []
+    for arr in frozen:
+        if any(arr is h for h in held):
+            kept.append(arr)
+        else:
+            arr.flags.writeable = True
+    for arr in held:
+        if arr.flags.writeable:
+            arr.flags.writeable = False
+            kept.append(arr)
+    return tuple(kept)
 
 
 class PlacementEngine:
@@ -396,32 +440,23 @@ class PlacementEngine:
     # -- classification ----------------------------------------------------
     def _classify(self, task: PlacementTask) -> _Dispatch:
         problem = task.problem
-        struct = _struct_key(problem)
-        current_bytes = problem.current.tobytes()
+        fields = tuple(getattr(problem, f) for f in _RESIDENT_FIELDS)
         rec = self._resident.get(task.key)
         same_controller = rec is not None and rec.controller is task.controller
-        if (
-            same_controller
-            and rec.struct == struct
-            and rec.current_bytes == current_bytes
-        ):
+        if same_controller and all(map(_same, rec.fields, fields)):
             self.delta_tasks += 1
             nbytes = int(problem.app_cpu_demand.nbytes)
             self.bytes_shipped_delta += nbytes
-            return _Dispatch(
-                "delta", False, struct, current_bytes,
-                _fingerprint(struct, current_bytes), nbytes,
-            )
+            return _Dispatch("delta", False, nbytes)
         if same_controller:
             self.invalidations += 1
         self.full_tasks += 1
         nbytes = int(
-            _struct_nbytes(struct)
+            sum(f.nbytes for f in fields if f is not None)
             + problem.app_cpu_demand.nbytes
-            + problem.current.nbytes
         )
         self.bytes_shipped_full += nbytes
-        return _Dispatch("full", not same_controller, struct, current_bytes, 0, nbytes)
+        return _Dispatch("full", not same_controller, nbytes)
 
     # -- batch solve -------------------------------------------------------
     def solve_batch(
@@ -461,7 +496,10 @@ class PlacementEngine:
                         task.controller if disp.ship_controller else None,
                     )
                 else:
-                    payload = (task.problem.app_cpu_demand, disp.fingerprint)
+                    payload = (
+                        task.problem.app_cpu_demand,
+                        _fingerprint(task.problem),
+                    )
                 futures.append(
                     self._pool(self._slot(task.key)).submit(
                         _worker_solve, task.key, disp.mode, payload, task.seed
@@ -484,10 +522,14 @@ class PlacementEngine:
                 # statistics become observable on the driver-side object.
                 for name, value in counters.items():
                     setattr(task.controller, name, value)
+            problem = task.problem
+            fields = tuple(
+                solution.placement if f == "current" else getattr(problem, f)
+                for f in _RESIDENT_FIELDS
+            )
+            rec = self._resident.get(task.key)
             self._resident[task.key] = _ResidentRecord(
-                controller=task.controller,
-                struct=disp.struct,
-                current_bytes=solution.placement.tobytes(),
+                task.controller, fields, _hold(fields, rec.frozen if rec else ())
             )
             if tracing and task.trace_ctx is not None:
                 tctx = task.trace_ctx
@@ -511,6 +553,8 @@ class PlacementEngine:
                     pool.shutdown()
             self._pools = None
         self._assignment.clear()
+        for rec in self._resident.values():
+            _hold((), rec.frozen)
         self._resident.clear()
 
     def __enter__(self) -> "PlacementEngine":

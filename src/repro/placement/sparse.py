@@ -38,8 +38,9 @@ class SparsePlacement:
     ``indices[indptr[s]:indptr[s+1]]`` are the app columns placed on server
     ``s``, strictly increasing within each row.  The class mirrors the
     small ndarray surface the perf engine relies on (``shape``,
-    ``tobytes``, ``nbytes``) so resident-state fingerprints and the
-    delta-shipping classifier work unchanged.
+    ``tobytes``, ``nbytes``) so resident-state fingerprints and payload
+    sizes work unchanged; the engine's delta classifier compares
+    ``indptr`` and ``indices`` directly.
     """
 
     __slots__ = ("shape", "indptr", "indices")

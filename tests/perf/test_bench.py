@@ -222,6 +222,17 @@ def test_run_suite_records_peak_rss(tiny_fixtures):
         assert metrics["peak_rss_mb"] > 0
 
 
+def test_steady_epoch_walls_is_median_of_epochs_after_the_first():
+    walls = bench.steady_epoch_walls([9.0, 1.0, 3.0, 2.0, 8.0, 2.5])
+    assert walls == {
+        "wall_per_epoch_s": 2.5,
+        "wall_per_epoch_min_s": 1.0,
+        "wall_per_epoch_max_s": 8.0,
+    }
+    # A single epoch is its own sample.
+    assert bench.steady_epoch_walls([4.0])["wall_per_epoch_s"] == 4.0
+
+
 def test_cmd_mega_faults_lane_merges_and_gates(tmp_path):
     """``repro mega --faults`` adds the E18 fault-lane workload next to
     the fault-free entry and gates recovery, MTTR and the mirror CRC."""

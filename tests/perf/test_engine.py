@@ -165,6 +165,46 @@ def test_second_epoch_ships_demand_only_deltas():
     assert serial_counts[1] == serial_counts[2]
 
 
+def test_resident_arrays_are_held_read_only_by_reference():
+    """The driver keeps last epoch's arrays by reference: read-only while
+    held (an in-place write raises), writeable again once released.  A
+    byte-equal copy of the placement still ships a delta; a changed one
+    invalidates."""
+    from repro.placement import PlacementProblem
+
+    (problem,) = split_into_pods(make_instance(20, seed=3), 20)
+    controller = GreedyController()
+
+    def task(current):
+        return PlacementTask(
+            key="pod",
+            problem=PlacementProblem(
+                server_cpu=problem.server_cpu,
+                server_mem=problem.server_mem,
+                app_cpu_demand=problem.app_cpu_demand,
+                app_mem=problem.app_mem,
+                current=current,
+            ),
+            controller=controller,
+        )
+
+    with PlacementEngine(1) as engine:
+        (first,) = engine.solve_batch([task(problem.current)])
+        assert not first.placement.flags.writeable
+        assert not problem.server_cpu.flags.writeable
+        with pytest.raises(ValueError):
+            problem.server_cpu[0] = 1.0
+        (second,) = engine.solve_batch([task(first.placement.copy())])
+        assert engine.delta_tasks == 1
+        assert first.placement.flags.writeable  # released
+        assert not second.placement.flags.writeable
+        changed = second.placement.copy()
+        changed[0, 0] = not changed[0, 0]
+        engine.solve_batch([task(changed)])
+        assert engine.invalidations == 1
+    assert problem.server_cpu.flags.writeable
+
+
 def test_server_crash_invalidates_resident_warm_start_skeleton():
     """A server crash changes the pod's topology.  The driver must notice
     the structural change and reship the full problem (an invalidation,
